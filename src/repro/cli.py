@@ -32,8 +32,8 @@ Subcommands:
     OID partitioning), ``--cache-path FILE`` persists the extent cache
     to a sqlite file (a re-run with the same path answers warm without
     touching one agent), ``--plan`` / ``--no-plan`` toggles the query
-    planner (assertion-graph pruning, per-endpoint scan coalescing,
-    pushdown hints; on by default), ``--deltas`` / ``--no-deltas``
+    planner (assertion-graph pruning and per-endpoint scan coalescing;
+    on by default), ``--deltas`` / ``--no-deltas``
     toggles patching stale cached extents from component delta feeds
     (on by default), ``--repeat N`` re-runs the query
     (showing the extent cache), ``--appendix-b`` uses the top-down
@@ -210,9 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--plan",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="run the query planner: assertion-graph pruning, per-endpoint "
-        "scan coalescing and advisory pushdown hints (--no-plan restores "
-        "one round-trip per scan granule)",
+        help="run the query planner: assertion-graph pruning and per-endpoint "
+        "scan coalescing (--no-plan restores one round-trip per scan granule)",
     )
     query.add_argument(
         "--deltas",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..runtime.async_executor import EventLoopThread
+    from ..runtime.executor import EventLoopThread
     from ..runtime.metrics import RuntimeStats
     from ..runtime.policy import RuntimePolicy
     from ..runtime.runtime import FederationRuntime
@@ -140,9 +140,8 @@ class FederationSession:
         mode) multiplexes this session's scans on a shared event-loop
         thread owned by the caller — how the federation service runs
         many tenant sessions over one loop; *plan* (default on) runs the
-        query planner before dispatch — assertion-graph pruning, scan
-        coalescing into per-endpoint batches, and advisory hint
-        pushdown; *deltas* (default on) patches stale cached extents
+        query planner before dispatch — assertion-graph pruning and scan
+        coalescing into per-endpoint batches; *deltas* (default on) patches stale cached extents
         from component delta feeds instead of rescanning them; see
         :meth:`repro.federation.fsm.FSM.use_runtime`."""
         return self.fsm.use_runtime(

@@ -100,8 +100,7 @@ def lift_facts(
     A *plan* (:class:`~repro.runtime.planner.QueryPlan`) restricts both
     the prefetch and the lifting loop to the integrated classes that can
     contribute to its query — the §6 pruning closure guarantees skipped
-    classes cannot change the answer — and threads the pushdown hint
-    into every prefetch scan.
+    classes cannot change the answer.
     """
     mappings = mappings or MappingRegistry()
     store = FactStore()
@@ -116,9 +115,7 @@ def lift_facts(
             for schema_name, class_name in integrated_class.origins
             if schema_name in databases
         ]
-        prefetched = runtime.scan_extents(
-            pairs, op="direct_extent", hint=plan.hint if plan is not None else None
-        )
+        prefetched = runtime.scan_extents(pairs, op="direct_extent")
 
     for integrated_class in integrated:
         if integrated_class.virtual:

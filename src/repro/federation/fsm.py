@@ -37,7 +37,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..runtime.async_executor import EventLoopThread
+    from ..runtime.executor import EventLoopThread
     from ..runtime.policy import RuntimePolicy
     from ..runtime.runtime import FederationRuntime
     from ..runtime.metrics import RuntimeStats
@@ -303,13 +303,13 @@ class FSM:
         endpoints per agent.  *cache_path* spills the extent cache to a
         sqlite file and restores it on attach, so a restarted federation
         answers warm queries without re-scanning its components.
-        *loop* (async mode) is a shared
-        :class:`~repro.runtime.async_executor.EventLoopThread`: many
+        *loop* is a shared
+        :class:`~repro.runtime.executor.EventLoopThread`: many
         FSMs — the federation service's tenants — multiplex their scans
         on one loop thread, and the loop's owner closes it.  *plan*
         (default on) runs every query through the federation query
         planner — assertion-graph pruning, per-endpoint scan
-        coalescing, pushdown hints; ``plan=False`` reproduces the
+        coalescing; ``plan=False`` reproduces the
         pre-planner one-round-trip-per-granule traffic.  *deltas*
         (default on) replays component delta feeds onto stale cached
         extents — single-row writes patch granules in place instead of
@@ -349,8 +349,7 @@ class FSM:
         """A bottom-up federated engine over the last integration.
 
         *plan* — a :class:`~repro.runtime.planner.QueryPlan` — restricts
-        fact lifting to the classes that can contribute to one query and
-        threads the pushdown hint into the prefetch fan-out.
+        fact lifting to the classes that can contribute to one query.
         """
         if self.integrated is None:
             raise QueryError("integrate schemas before querying")
@@ -396,8 +395,7 @@ class FSM:
         scans each agent served for *this* query) made observable.
         When the runtime has planning enabled, the query goes through
         :meth:`plan_query` first: pruned classes are never scanned or
-        lifted, the remaining granules coalesce per endpoint, and the
-        projection/predicate hint rides along.
+        lifted, and the remaining granules coalesce per endpoint.
         """
         if isinstance(query, str):
             query = FederatedQuery.parse(query)
@@ -433,7 +431,7 @@ class FSM:
             if plan is not None and plan.pairs:
                 # AgentSource fetches full extents (op="extent"); warm
                 # those granules so its per-predicate pulls hit the cache
-                self.runtime.scan_extents(plan.pairs, op="extent", hint=plan.hint)
+                self.runtime.scan_extents(plan.pairs, op="extent")
         return appendix_b_program(
             self.integrated,
             agents,

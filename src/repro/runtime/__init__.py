@@ -7,23 +7,23 @@ query paths and the agents:
 
 * :mod:`~repro.runtime.transport` — the :class:`AgentTransport`
   abstraction: in-process calls or a simulated network with injectable
-  latency, drops and flaky agents;
-* :mod:`~repro.runtime.executor` — thread-pool fan-out with per-call
-  timeouts, bounded exponential-backoff retries and per-agent circuit
-  breakers;
-* :mod:`~repro.runtime.async_transport` / :mod:`~repro.runtime.async_executor`
-  — the asyncio twins: coroutine transports (including a fault-injecting
-  simulated network that sleeps on the loop, not a thread) and an
-  event-loop executor with ``asyncio.timeout`` deadlines and a
-  semaphore-bounded in-flight window, sharing the same policy, breaker
-  and metrics objects as the threaded path;
+  latency, drops and flaky agents, decided by one
+  :class:`~repro.runtime.transport.FaultModel`;
+* :mod:`~repro.runtime.async_transport` — the coroutine transports,
+  including the simulated network that sleeps on the loop, not a
+  thread;
+* :mod:`~repro.runtime.executor` — the one execution core for every
+  mode: a coroutine retry / backoff / ``asyncio.timeout`` deadline /
+  per-endpoint circuit-breaker loop that awaits async transports and
+  runs synchronous ones on one bounded thread pool, with a sync bridge
+  onto an :class:`EventLoopThread`
+  (:mod:`~repro.runtime.async_executor` keeps its asyncio names);
 * :mod:`~repro.runtime.columnar` / :mod:`~repro.runtime.mp_executor`
   — the multiprocess data plane: :class:`ColumnarExtent` encodes
   O-term extents as tuples-of-arrays (cheap to pickle, lossless), and
-  :class:`MultiprocessFederationExecutor` runs shard scans in
-  ``spawn``-ed worker processes that rehydrate the federation's
-  source adapters from manifest-vocabulary specs, so CPU-bound
-  per-item work escapes the GIL;
+  shard scans run in ``spawn``-ed worker processes that rehydrate the
+  federation's source adapters from manifest-vocabulary specs, so
+  CPU-bound per-item work escapes the GIL;
 * :mod:`~repro.runtime.sharding` — :class:`ShardPlan` /
   :class:`ShardSpec`: split one schema's extent across N shard
   endpoints (hash or range over global OIDs) and merge the slices back
@@ -37,9 +37,8 @@ query paths and the agents:
 * :mod:`~repro.runtime.metrics` — counters, phase timers and per-agent
   access histograms behind :class:`RuntimeStats` snapshots;
 * :mod:`~repro.runtime.planner` — the query planner: §6 assertion-graph
-  pruning applied at query time, scan coalescing into per-endpoint
-  :class:`BatchScanRequest` round-trips, and autonomy-preserving
-  :class:`ScanHint` pushdown;
+  pruning applied at query time and scan coalescing into per-endpoint
+  :class:`BatchScanRequest` round-trips;
 * :mod:`~repro.runtime.runtime` — the :class:`FederationRuntime` facade
   the FSM attaches via :meth:`repro.federation.fsm.FSM.use_runtime`.
 """
@@ -97,7 +96,6 @@ from .transport import (
     BatchScanResult,
     FaultProfile,
     InProcessTransport,
-    ScanHint,
     ScanRequest,
     SimulatedNetworkTransport,
     transfer_item_count,
@@ -142,7 +140,6 @@ __all__ = [
     "RuntimePolicy",
     "RuntimeStats",
     "ScanFailure",
-    "ScanHint",
     "ScanOutcome",
     "ScanRequest",
     "ShardPlan",

@@ -1,6 +1,6 @@
 """The multiprocess data plane: shard scans in worker processes.
 
-The threaded executor fans scans out over a thread pool, but the §3
+The execution core fans scans out over a thread pool, but the §3
 per-item work — deserializing rows, coercing types, running the data
 mappings, filtering shard ownership — is pure Python and serializes on
 the GIL: E-R1/E-R4 show throughput flatlining as workers are added.
@@ -24,12 +24,13 @@ the GIL: E-R1/E-R4 show throughput flatlining as workers are added.
   ``generation``, ``changes``, agent lookup — stay parent-side, so the
   cache, persistence and delta-feed paths are byte-for-byte the ones
   the threaded runtime uses;
-* :class:`MultiprocessFederationExecutor` inherits the retry, backoff,
-  deadline (:func:`~repro.runtime.executor._call_with_timeout`) and
-  circuit-breaker machinery from the threaded twin unchanged, and
-  decodes columnar payloads exactly once at the caller/cache boundary
-  (shard merges fold the arrays first, see
-  :func:`~repro.runtime.sharding.merge_shard_values`).
+* :class:`MultiprocessFederationExecutor` is the one execution core
+  (:mod:`repro.runtime.executor`): its retry, backoff, deadline and
+  circuit-breaker loop hands each blocking pool dispatch to the core's
+  bounded thread pool.  The subclass only decodes columnar payloads
+  exactly once at the caller/cache boundary (shard merges fold the
+  arrays first, see :func:`~repro.runtime.sharding.merge_shard_values`)
+  and closes the worker pool with the executor.
 
 Worker snapshots are guarded by **generation staleness**: the spec
 records each store's version at build time, and a ``perform`` that
@@ -51,19 +52,15 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import RuntimeFederationError, TransportError
 from ..federation.agent import FSMAgent
-from .breaker import CircuitBreaker
 from .columnar import ColumnarExtent
 from .executor import FederationExecutor
-from .metrics import RuntimeMetrics
-from .policy import RuntimePolicy
 from .transport import (
     AgentTransport,
     BatchScanRequest,
@@ -477,26 +474,19 @@ def _find_pool(transport: Any) -> ProcessPoolTransport:
 
 
 class MultiprocessFederationExecutor(FederationExecutor):
-    """The threaded executor's failure model over a worker-process pool.
+    """The one execution core over a worker-process pool.
 
-    Retries, backoff, per-call deadlines and the circuit breaker are
-    inherited unchanged — the pool hop raises the same
+    Retries, backoff, per-call deadlines and the circuit breaker are the
+    core's — the pool hop raises the same
     :class:`~repro.errors.TransportError` taxonomy the simulated
-    network does.  The only override is the decode boundary: columnar
+    network does.  The decode boundary is the one difference: columnar
     payloads become instance lists exactly once, after shard merges
     have folded the arrays.
     """
 
-    def __init__(
-        self,
-        transport: AgentTransport,
-        policy: Optional[RuntimePolicy] = None,
-        metrics: Optional[RuntimeMetrics] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        super().__init__(transport, policy, metrics, breaker, sleep)
-        self._pool_transport = _find_pool(transport)
+    @property
+    def _pool_transport(self) -> ProcessPoolTransport:
+        return _find_pool(self.transport)
 
     def _decode(self, value: Any) -> Any:
         if isinstance(value, ColumnarExtent):
@@ -508,4 +498,5 @@ class MultiprocessFederationExecutor(FederationExecutor):
         return value
 
     def close(self) -> None:
+        super().close()
         self._pool_transport.close()

@@ -1,4 +1,4 @@
-"""The federation query planner: prune, coalesce, push down.
+"""The federation query planner: prune, then coalesce.
 
 The runtime executes one :class:`~repro.runtime.transport.ScanRequest`
 per (agent, class, op, attribute); a multi-class query or Appendix-B
@@ -20,12 +20,7 @@ plans a :class:`~repro.federation.query.FederatedQuery` into a
 2. **Coalesce** — all granules bound for one endpoint ride a single
    batched round-trip (:func:`~repro.runtime.executor.coalesce_by_endpoint`
    builds the :class:`~repro.runtime.transport.BatchScanRequest`\\ s;
-   the executors own that step since they own dispatch).
-3. **Push down** — the query's attribute projections and simple
-   equality predicates travel as a
-   :class:`~repro.runtime.transport.ScanHint`: advisory,
-   autonomy-preserving, and excluded from request identity, so hinted
-   scans share cache granules with unhinted ones.
+   the executor owns that step since it owns dispatch).
 
 The planner sees only schema-level metadata (the integrated schema's
 classes, links and rules) — never component data — so planning cost is
@@ -48,7 +43,6 @@ from typing import (
 
 from ..logic.atoms import Atom
 from ..logic.oterms import OTerm, parse_predicate
-from .transport import ScanHint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..federation.query import FederatedQuery
@@ -72,8 +66,6 @@ class QueryPlan:
     pruned: Tuple[str, ...]
     #: (schema, local class) direct-extent scans the plan still needs
     pairs: Tuple[Tuple[str, str], ...]
-    #: advisory projection/predicate pushdown for every planned scan
-    hint: Optional[ScanHint] = None
 
     def allows(self, class_name: str) -> bool:
         """May *class_name* contribute to this query's answer?"""
@@ -83,9 +75,7 @@ class QueryPlan:
         kept = len(self.contributing)
         return (
             f"plan({self.class_name}: {kept} classes kept, "
-            f"{len(self.pruned)} pruned, {len(self.pairs)} scans"
-            + (f", {self.hint.describe()}" if self.hint else "")
-            + ")"
+            f"{len(self.pruned)} pruned, {len(self.pairs)} scans)"
         )
 
 
@@ -210,7 +200,7 @@ def plan_query(
     query: "FederatedQuery",
     schemas: Optional[Container[str]] = None,
 ) -> QueryPlan:
-    """Plan *query* against *integrated*: prune + build the pushdown hint.
+    """Plan *query* against *integrated*: the scan pairs left after pruning.
 
     *schemas* restricts the scan pairs to component schemas the caller
     can actually reach (the FSM's registered databases); None keeps all
@@ -228,14 +218,9 @@ def plan_query(
         for schema_name, local_class in integrated_class.origins:
             if schemas is None or schema_name in schemas:
                 pairs.append((schema_name, local_class))
-    attributes = list(dict.fromkeys(
-        [name for name, _ in query.where] + list(query.select)
-    ))
-    hint = ScanHint(attributes=tuple(attributes), equalities=tuple(query.where))
     return QueryPlan(
         class_name=query.class_name,
         contributing=contributing,
         pruned=tuple(pruned),
         pairs=tuple(dict.fromkeys(pairs)),
-        hint=hint,
     )

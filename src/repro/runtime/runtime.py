@@ -13,14 +13,15 @@ exposes the scan API the evaluation paths need —
 * :meth:`invalidate` / :meth:`bump_generation` for cache control;
 * :meth:`stats` for the observable autonomy / performance counters.
 
-Three execution modes share this facade.  ``mode="threaded"`` (default)
-fans scans across a thread pool; ``mode="async"`` multiplexes them as
-coroutines on one event loop via
-:class:`~repro.runtime.async_executor.AsyncFederationExecutor`, so
-thousands of slow agents cost timers instead of threads;
+Three execution modes share this facade, and one execution core
+(:class:`~repro.runtime.executor.FederationExecutor`) runs all of them;
+a mode only picks the transport.  ``mode="threaded"`` (default) runs a
+synchronous transport's calls on the core's bounded thread pool;
+``mode="async"`` awaits an async transport on the core's event loop,
+so thousands of slow agents cost timers instead of threads;
 ``mode="multiprocess"`` ships shard scans to ``spawn``-ed worker
-processes via
-:class:`~repro.runtime.mp_executor.MultiprocessFederationExecutor`,
+processes (decoded by
+:class:`~repro.runtime.mp_executor.MultiprocessFederationExecutor`),
 exchanging :class:`~repro.runtime.columnar.ColumnarExtent` payloads so
 CPU-bound per-item work escapes the GIL.  All modes feed the same
 :class:`~repro.runtime.metrics.RuntimeMetrics` and
@@ -54,8 +55,8 @@ granule bound for one endpoint rides a single batched round-trip, and
 the results are re-keyed per granule before they reach the cache — so
 cache keys, warm behaviour and the ``agent_scans`` histogram are
 byte-identical to unplanned runs while ``round_trips`` drops.  The FSM
-additionally hands :meth:`scan_extents` a pushdown hint and prunes the
-pair list through the query planner (:mod:`repro.runtime.planner`).
+additionally prunes the pair list through the query planner
+(:mod:`repro.runtime.planner`).
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, 
 from ..errors import PartialResultError, RuntimeFederationError
 from ..federation.agent import FSMAgent
 from ..model.instances import ObjectInstance
-from .async_executor import AsyncFederationExecutor, EventLoopThread
 from .async_transport import (
     AsyncAgentTransport,
     AsyncInProcessTransport,
@@ -74,13 +74,13 @@ from .async_transport import (
 )
 from .breaker import CircuitBreaker
 from .cache import MISS, ExtentCache
-from .executor import FederationExecutor, ScanOutcome
+from .executor import EventLoopThread, FederationExecutor, ScanOutcome
 from .metrics import RuntimeMetrics, RuntimeStats
 from .mp_executor import MultiprocessFederationExecutor, wrap_multiprocess
 from .persistence import PersistentExtentStore
 from .policy import FailurePolicy, RuntimePolicy
 from .sharding import ShardPlan, ShardedOutcome, merge_shard_values
-from .transport import AgentTransport, InProcessTransport, ScanHint, ScanRequest
+from .transport import AgentTransport, InProcessTransport, ScanRequest
 
 #: accepted FederationRuntime execution modes
 MODES = ("threaded", "async", "multiprocess")
@@ -125,8 +125,8 @@ class FederationRuntime:
             transport, AsyncAgentTransport
         ):
             raise RuntimeFederationError(
-                f"async transports need mode='async' ({mode} executors "
-                f"cannot await coroutines)"
+                f"async transports need mode='async' (mode {mode!r} runs "
+                f"a synchronous transport)"
             )
         self.transport = transport
         self.policy = policy or RuntimePolicy()
@@ -144,16 +144,8 @@ class FederationRuntime:
         self.breaker = breaker or CircuitBreaker(
             self.policy.breaker_threshold, self.policy.breaker_reset
         )
-        self.executor: "FederationExecutor | AsyncFederationExecutor"
-        if mode == "async":
-            assert isinstance(transport, AsyncAgentTransport)
-            # *loop* lets many runtimes (one per service tenant) multiplex
-            # their scans on one shared event-loop thread; the loop's
-            # owner closes it, not this runtime
-            self.executor = AsyncFederationExecutor(
-                transport, self.policy, self.metrics, self.breaker, runner=loop
-            )
-        elif mode == "multiprocess":
+        executor_type = FederationExecutor
+        if mode == "multiprocess":
             assert isinstance(transport, AgentTransport)
             # splice the worker pool under any parent-side wrappers
             # (fault simulators keep observing every dispatch), then
@@ -162,18 +154,17 @@ class FederationRuntime:
                 transport, workers=self.policy.max_workers
             )
             self.transport = transport
-            self.executor = MultiprocessFederationExecutor(
-                transport, self.policy, self.metrics, self.breaker
-            )
-        else:
-            assert isinstance(transport, AgentTransport)
-            self.executor = FederationExecutor(
-                transport, self.policy, self.metrics, self.breaker
-            )
+            executor_type = MultiprocessFederationExecutor
+        # *loop* lets many runtimes (one per service tenant) multiplex
+        # their scans on one shared event-loop thread; the loop's owner
+        # closes it, not this runtime
+        self.executor = executor_type(
+            transport, self.policy, self.metrics, self.breaker, runner=loop
+        )
         #: scatter/merge plan; None means classic one-scan-per-extent
         self.shard_plan: Optional[ShardPlan] = ShardPlan.coerce(shard_plan)
         #: query planning: coalesce fan-outs into batched round-trips and
-        #: let the FSM prune/push down; off reproduces pre-planner traffic
+        #: let the FSM prune; off reproduces pre-planner traffic
         self.plan_enabled = bool(plan)
         #: incremental invalidation: replay component delta feeds onto
         #: stale cache granules before each freshness check; off
@@ -194,10 +185,9 @@ class FederationRuntime:
         class_name: str,
         op: str = "direct_extent",
         attribute: Optional[str] = None,
-        hint: Optional[ScanHint] = None,
     ) -> ScanRequest:
         agent = self.transport.agent_for_schema(schema_name)
-        return ScanRequest(agent, schema_name, class_name, op, attribute, hint=hint)
+        return ScanRequest(agent, schema_name, class_name, op, attribute)
 
     # ------------------------------------------------------------------
     # single scans
@@ -256,7 +246,7 @@ class FederationRuntime:
         self.metrics.incr("sharded_scans")
         outcome = self.executor.run_sharded([request], plan, preloaded)
         self._cache_shard_results(outcome, preloaded)
-        self._apply_sharded_failure_policy(outcome)
+        self._apply_failure_policy(outcome, len(outcome.missing))
         return outcome.results.get(request, empty)
 
     # ------------------------------------------------------------------
@@ -266,7 +256,6 @@ class FederationRuntime:
         self,
         pairs: Iterable[Tuple[str, str]],
         op: str = "direct_extent",
-        hint: Optional[ScanHint] = None,
     ) -> Dict[Tuple[str, str], List[ObjectInstance]]:
         """Concurrently fetch the extents of many ``(schema, class)`` pairs.
 
@@ -274,12 +263,11 @@ class FederationRuntime:
         the misses fan out — with planning enabled, coalesced into one
         batched round-trip per endpoint (results are still cached per
         granule under their usual keys, so warm behaviour is unchanged).
-        A *hint* rides on every request as the planner's advisory
-        pushdown.  Failed scans are absent from the mapping under the
+        Failed scans are absent from the mapping under the
         ``PARTIAL`` policy (callers treat them as empty).
         """
         requests = [
-            self.request(schema_name, class_name, op, hint=hint)
+            self.request(schema_name, class_name, op)
             for schema_name, class_name in dict.fromkeys(pairs)
         ]
         self.metrics.incr("requests", len(requests))
@@ -299,7 +287,7 @@ class FederationRuntime:
                     outcome = self.executor.run_coalesced(to_fetch)
                 else:
                     outcome = self.executor.run(to_fetch)
-            self._apply_failure_policy(outcome)
+            self._apply_failure_policy(outcome, len(outcome.failures))
             for request, value in outcome.results.items():
                 self._cache_put(request, value)
                 extents[(request.schema, request.class_name)] = value
@@ -342,7 +330,7 @@ class FederationRuntime:
                     to_fetch, plan, preloaded, coalesce=self.plan_enabled
                 )
             self._cache_shard_results(outcome, preloaded)
-            self._apply_sharded_failure_policy(outcome)
+            self._apply_failure_policy(outcome, len(outcome.missing))
             for request, value in outcome.results.items():
                 extents[(request.schema, request.class_name)] = value
         return extents
@@ -354,7 +342,11 @@ class FederationRuntime:
             if shard_request not in preloaded:
                 self._cache_put(shard_request, value)
 
-    def _apply_failure_policy(self, outcome: ScanOutcome) -> None:
+    def _apply_failure_policy(
+        self, outcome: "ScanOutcome | ShardedOutcome", partial_results: int
+    ) -> None:
+        """Refuse a partial *outcome* (``ERROR``) or record its warnings
+        and *partial_results* degraded answers (``PARTIAL``)."""
         if not outcome.partial:
             return
         if self.policy.failure_policy is FailurePolicy.ERROR:
@@ -362,17 +354,7 @@ class FederationRuntime:
                 "; ".join(outcome.warnings()), failures=outcome.failures
             )
         self.last_warnings.extend(outcome.warnings())
-        self.metrics.incr("partial_results", len(outcome.failures))
-
-    def _apply_sharded_failure_policy(self, outcome: ShardedOutcome) -> None:
-        if not outcome.partial:
-            return
-        if self.policy.failure_policy is FailurePolicy.ERROR:
-            raise PartialResultError(
-                "; ".join(outcome.warnings()), failures=outcome.failures
-            )
-        self.last_warnings.extend(outcome.warnings())
-        self.metrics.incr("partial_results", len(outcome.missing))
+        self.metrics.incr("partial_results", partial_results)
 
     # ------------------------------------------------------------------
     # cache plumbing
@@ -452,8 +434,8 @@ class FederationRuntime:
         return self._closed
 
     def close(self) -> None:
-        """Release executor resources (the async mode's loop thread) and
-        the cache's persistent store, when one is attached.
+        """Release executor resources (its thread pool and private loop
+        thread) and the cache's persistent store, when one is attached.
 
         Idempotent: every exit path (success, error, signal handler) may
         call it, and double closes are no-ops — the CLI and the service
@@ -462,7 +444,5 @@ class FederationRuntime:
         if self._closed:
             return
         self._closed = True
-        closer = getattr(self.executor, "close", None)
-        if closer is not None:
-            closer()
+        self.executor.close()
         self.cache.close()

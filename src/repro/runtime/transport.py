@@ -21,11 +21,7 @@ coalescing).  Transports unpack it granule by granule and return a
 order; the fault model of the simulated network applies once per batch
 — one latency, one drop roll, one scripted-failure attempt — because a
 batch *is* one call on the wire, while the transfer cost still scales
-with the total items carried.  A :class:`ScanHint` rides along as an
-autonomy-preserving pushdown: agents may use the projected attributes
-and equality predicates to narrow their work, but are never required
-to — hints are excluded from request equality and cache keys, so a
-hinted and an unhinted scan share one cache granule.
+with the total items carried.
 """
 
 from __future__ import annotations
@@ -81,39 +77,12 @@ def _value_set_of(instances: Any, attribute: str) -> set:
 
 
 @dataclasses.dataclass(frozen=True)
-class ScanHint:
-    """Autonomy-preserving pushdown attached to a scan by the planner.
-
-    *attributes* are the projections the query will read; *equalities*
-    are its simple ``attribute = constant`` predicates.  Both are
-    **advisory**: an agent may use them to narrow its work, but the
-    runtime never relies on the narrowing — per-attribute data mappings
-    (fuzzy, conversion functions) translate values between local and
-    global vocabularies, so a constant from the global query cannot be
-    compared against local values at the agent without breaking
-    correctness, and rule bodies may touch attributes the query does
-    not name.  Hints therefore never change what a transport returns;
-    they only tell the component system what the federation is after.
-    """
-
-    attributes: Tuple[str, ...] = ()
-    equalities: Tuple[Tuple[str, Any], ...] = ()
-
-    def describe(self) -> str:
-        parts = list(self.attributes)
-        parts.extend(f"{name}={value!r}" for name, value in self.equalities)
-        return f"hint({', '.join(parts)})"
-
-
-@dataclasses.dataclass(frozen=True)
 class ScanRequest:
     """One agent scan: the unit the executor schedules and the cache keys.
 
     A *shard* coordinate (see :mod:`repro.runtime.sharding`) narrows the
     scan to the slice of the extent that shard owns; unsharded requests
-    leave it None and behave exactly as before.  The *hint* carries the
-    planner's pushdown and is excluded from equality/hashing so hinted
-    and unhinted scans of one granule share cache entries and dedup.
+    leave it None and behave exactly as before.
     """
 
     agent: str
@@ -122,7 +91,6 @@ class ScanRequest:
     op: str = "direct_extent"
     attribute: Optional[str] = None
     shard: Optional["ShardSpec"] = None
-    hint: Optional[ScanHint] = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
@@ -401,23 +369,30 @@ class FaultProfile:
     per_item: float = 0.0
 
 
-class SimulatedNetworkTransport(AgentTransport):
-    """A transport decorator that injects latency, drops and failures.
+class FaultModel:
+    """The simulated network's fault decisions, shared by the sync and
+    async simulators.
 
     Per-agent :class:`FaultProfile`\\ s are installed with
     :meth:`set_profile`; agents without one use *default_profile*.  A
     profile may also target one shard endpoint (``"agent1#2/4"``) — the
     lookup tries the exact endpoint first, then the base agent — so a
     single shard can be killed while its siblings stay healthy.
-    Randomness is seeded, so runs are reproducible.
+    Randomness is seeded, so runs are reproducible.  Bookkeeping is
+    guarded by a :class:`threading.Lock` held only while a call's faults
+    are decided, never while it sleeps.
+
+    What differs between the simulators is only how a delay is spent:
+    :class:`SimulatedNetworkTransport` blocks its thread,
+    :class:`~repro.runtime.async_transport.AsyncSimulatedNetworkTransport`
+    awaits on the loop.
     """
 
     def __init__(
         self,
-        inner: AgentTransport,
+        inner: Any,
         default_profile: Optional[FaultProfile] = None,
         seed: int = 0,
-        clock: Any = time.sleep,
     ) -> None:
         self._inner = inner
         self._default = default_profile or FaultProfile()
@@ -425,13 +400,9 @@ class SimulatedNetworkTransport(AgentTransport):
         self._attempts: Dict[Tuple[Any, ...], int] = defaultdict(int)
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
-        self._sleep = clock
         #: calls that reached this transport, per agent (injected faults
         #: included) — the "network side" view of the access histogram
         self.calls: Dict[str, int] = defaultdict(int)
-        #: granules that arrived carrying a planner pushdown hint, per
-        #: endpoint — proves hints reach the wire without changing results
-        self.hints: Dict[str, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
     def set_profile(self, agent: str, profile: FaultProfile) -> FaultProfile:
@@ -466,14 +437,17 @@ class SimulatedNetworkTransport(AgentTransport):
         # control-plane, like generation(): no latency or fault injection
         return self._inner.changes(request, since)
 
-    def perform(self, request: Scannable) -> Any:
+    # ------------------------------------------------------------------
+    def _decide(
+        self, request: Scannable
+    ) -> Tuple[FaultProfile, float, Optional[TransportError]]:
+        """Count one call and roll its faults: its profile, the delay
+        before it answers, and the error it fails with (None when the
+        call goes through to the inner transport)."""
         endpoint = request.endpoint
         profile = self.profile_for(endpoint)
         with self._lock:
             self.calls[endpoint] += 1
-            for granule in request.granules:
-                if granule.hint is not None:
-                    self.hints[endpoint] += 1
             if profile.fail_times > 0:
                 # only scripted endpoints need per-request attempt history;
                 # tracking every healthy request would grow without bound
@@ -487,21 +461,48 @@ class SimulatedNetworkTransport(AgentTransport):
             dropped = (
                 profile.drop_rate > 0.0 and self._rng.random() < profile.drop_rate
             )
-        delay = profile.latency + jitter
-        if delay > 0.0:
-            self._sleep(delay)
+        error: Optional[TransportError] = None
         if attempt <= profile.fail_times:
-            raise TransportError(
+            error = TransportError(
                 f"injected failure {attempt}/{profile.fail_times} from agent "
                 f"{endpoint!r} ({request.describe()})"
             )
-        if dropped:
-            raise TransportError(
+        elif dropped:
+            error = TransportError(
                 f"reply from agent {endpoint!r} dropped ({request.describe()})"
             )
+        return profile, profile.latency + jitter, error
+
+    @staticmethod
+    def _transfer(profile: FaultProfile, result: Any) -> float:
+        """Seconds *result* spends on the wire (``per_item`` pricing)."""
+        if profile.per_item <= 0.0:
+            return 0.0
+        return transfer_item_count(result) * profile.per_item
+
+
+class SimulatedNetworkTransport(FaultModel, AgentTransport):
+    """A transport decorator that injects latency, drops and failures,
+    sleeping the calling thread (*clock*) for every delay."""
+
+    def __init__(
+        self,
+        inner: AgentTransport,
+        default_profile: Optional[FaultProfile] = None,
+        seed: int = 0,
+        clock: Any = time.sleep,
+    ) -> None:
+        super().__init__(inner, default_profile, seed)
+        self._sleep = clock
+
+    def perform(self, request: Scannable) -> Any:
+        profile, delay, error = self._decide(request)
+        if delay > 0.0:
+            self._sleep(delay)
+        if error is not None:
+            raise error
         result = self._inner.perform(request)
-        if profile.per_item > 0.0:
-            transfer = transfer_item_count(result) * profile.per_item
-            if transfer > 0.0:
-                self._sleep(transfer)
+        transfer = self._transfer(profile, result)
+        if transfer > 0.0:
+            self._sleep(transfer)
         return result

@@ -7,9 +7,9 @@ result — while the repository owns:
 * the **tenant registry**: isolated :class:`~repro.service.tenancy.Tenant`
   federations keyed by id;
 * the **shared scan loop**: a single
-  :class:`~repro.runtime.async_executor.EventLoopThread` every
-  async-mode tenant's executor borrows, so N tenants cost one event
-  loop thread instead of N;
+  :class:`~repro.runtime.executor.EventLoopThread` every tenant's
+  executor borrows, so N tenants cost one event loop thread instead
+  of N;
 * the **lifecycle**: admission (a closed repository refuses new
   queries), in-flight draining, and the idempotent close chain that
   releases each tenant's runtime and finally the loop itself.

@@ -5,8 +5,8 @@ integrated schema, :class:`~repro.runtime.cache.ExtentCache`, generation
 state and optional persistent cache file — wrapped with the per-tenant
 admission gate the service's fairness promise needs.  Tenants share
 **nothing** stateful: the only common resource is the
-:class:`~repro.runtime.async_executor.EventLoopThread` all async-mode
-runtimes multiplex their agent scans on, which carries no per-tenant
+:class:`~repro.runtime.executor.EventLoopThread` every tenant's
+runtime multiplexes its agent scans on, which carries no per-tenant
 data.  A ``bump_generation`` or component write in one tenant therefore
 cannot invalidate or serve stale granules to another.
 
@@ -77,7 +77,7 @@ class TenantConfig:
     cache_path: Optional[str] = None
     #: simulated per-agent-call latency in milliseconds (demos, benchmarks)
     latency_ms: float = 0.0
-    #: run the query planner (prune + coalesce + hint pushdown) per query
+    #: run the query planner (prune + coalesce) per query
     plan: bool = True
     #: patch stale cached extents from component delta feeds instead of
     #: rescanning them (``deltas=false`` restores the bump baseline)
@@ -166,9 +166,9 @@ def attach_runtime(
 
     Mirrors the CLI's transport construction: in-process agents, with a
     simulated network wrapped around them when the config injects
-    latency.  Async-mode tenants hand their executor the shared loop;
-    threaded and multiprocess tenants keep private pools (the runtime
-    splices the process-pool hop in for multiprocess mode).
+    latency.  Every tenant's executor runs on the shared loop; threaded
+    and multiprocess tenants keep their own bounded thread pools (the
+    runtime splices the process-pool hop in for multiprocess mode).
     """
     fsm = session.fsm
     policy = RuntimePolicy(
@@ -194,7 +194,7 @@ def attach_runtime(
         mode=config.mode,
         shard_plan=shard_plan,
         cache_path=config.cache_path,
-        loop=loop if config.mode == "async" else None,
+        loop=loop,
         plan=config.plan,
         deltas=config.deltas,
     )

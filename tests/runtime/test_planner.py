@@ -3,9 +3,9 @@
 Unit coverage for the planning primitives (batch requests, endpoint
 coalescing, the §6 contributing-classes closure) plus end-to-end checks
 of the planned query path: planned answers must equal unplanned answers
-while ``round_trips`` drops strictly; pushdown hints must never change
-request identity or cache keys; and a failed batch must name exactly
-the granules it lost in ``RuntimeStats.lost_granules``.
+while ``round_trips`` drops strictly; and a failed dispatch must name
+exactly the granules it lost in ``RuntimeStats.lost_granules``, planned
+or not.
 """
 
 import pytest
@@ -20,7 +20,6 @@ from repro.runtime import (
     FederationRuntime,
     InProcessTransport,
     RuntimePolicy,
-    ScanHint,
     ScanRequest,
     SimulatedNetworkTransport,
     coalesce_by_endpoint,
@@ -115,27 +114,6 @@ class TestBatchPrimitives:
         assert len(result) == sum(len(value) for value in expected)
 
 
-class TestHintNeutrality:
-    def test_hint_never_changes_request_identity(self):
-        plain = ScanRequest("a1", "S1", "person0")
-        hinted = ScanRequest(
-            "a1", "S1", "person0",
-            hint=ScanHint(attributes=("ssn#",), equalities=(("grade", 1),)),
-        )
-        assert hinted == plain
-        assert hash(hinted) == hash(plain)
-        assert hinted.cache_key == plain.cache_key
-
-    def test_hints_are_delivered_to_the_transport(self, cluster_fsm):
-        runtime, transport = _simulated(cluster_fsm)
-        cluster_fsm.query(CLUSTER_QUERY)
-        # one hinted granule per agent (the plan prunes person1)
-        assert transport.hints == {
-            "agent1": 1, "agent2": 1, "agent3": 1, "agent4": 1
-        }
-        runtime.close()
-
-
 class TestContributingClasses:
     def test_cluster_query_prunes_the_unrelated_class(self, cluster_fsm):
         integrated = cluster_fsm.integrated
@@ -155,7 +133,7 @@ class TestContributingClasses:
             integrated.classes
         )
 
-    def test_plan_query_builds_pairs_and_hint(self):
+    def test_plan_query_builds_pairs(self):
         fsm = _genealogy_fsm()
         query = FederatedQuery.parse(GENEALOGY_QUERY)
         plan = plan_query(fsm.integrated, query, schemas=set(fsm._schema_host))
@@ -164,9 +142,6 @@ class TestContributingClasses:
         assert set(plan.pairs) == {
             ("S1", "parent"), ("S1", "brother"), ("S2", "uncle")
         }
-        assert plan.hint is not None
-        assert "niece_nephew" in plan.hint.attributes
-        assert ("niece_nephew", "John") in plan.hint.equalities
         assert plan.allows("uncle") and not plan.allows("no_such_class")
         assert "plan(" in plan.describe()
 
@@ -258,6 +233,45 @@ class TestBatchFaultAccounting:
         warnings = runtime.drain_warnings()
         assert any("agent-S1" in warning for warning in warnings)
         runtime.close()
+
+    def test_unplanned_and_planned_runs_name_the_same_lost_granules(self):
+        lost = {}
+        for plan in (False, True):
+            fsm = _genealogy_fsm()
+            runtime, _ = _simulated(
+                fsm,
+                RuntimePolicy(
+                    max_retries=0, backoff_base=0.0, failure_policy="partial"
+                ),
+                plan=plan,
+                per_agent=[("agent-S1", FaultProfile(drop_rate=1.0))],
+            )
+            try:
+                assert fsm.query(GENEALOGY_QUERY) == []
+                lost[plan] = fsm.last_query_stats.lost_granules
+            finally:
+                runtime.close()
+        assert lost[False] == lost[True] == {
+            ScanRequest("agent-S1", "S1", "parent").describe(): 1,
+            ScanRequest("agent-S1", "S1", "brother").describe(): 1,
+        }
+
+    def test_single_scan_names_its_lost_granule(self):
+        fsm = _genealogy_fsm()
+        runtime, _ = _simulated(
+            fsm,
+            RuntimePolicy(
+                max_retries=0, backoff_base=0.0, failure_policy="partial"
+            ),
+            per_agent=[("agent-S1", FaultProfile(drop_rate=1.0))],
+        )
+        try:
+            assert runtime.direct_extent("S1", "parent") == []
+            assert runtime.stats().lost_granules == {
+                ScanRequest("agent-S1", "S1", "parent").describe(): 1
+            }
+        finally:
+            runtime.close()
 
     def test_error_policy_still_raises_on_batch_failure(self):
         fsm = _genealogy_fsm()
