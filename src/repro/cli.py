@@ -423,13 +423,17 @@ def _cmd_query(arguments, out) -> int:
                     "elapsed_ms": round(timer.total * 1000.0, 3),
                     "agent_scans": delta.counter("agent_scans"),
                     "cache_hits": delta.counter("cache_hits"),
+                    "view_hits": delta.view_hits,
+                    "granules_relifted": delta.granules_relifted,
                 }
             )
             if arguments.stats and not arguments.as_json and repeats > 1:
                 print(
                     f"run {run + 1}: {timer.total * 1000:.2f}ms  "
                     f"agent_scans={delta.counter('agent_scans')}  "
-                    f"cache_hits={delta.counter('cache_hits')}",
+                    f"cache_hits={delta.counter('cache_hits')}  "
+                    f"view_hits={delta.view_hits}  "
+                    f"granules_relifted={delta.granules_relifted}",
                     file=out,
                 )
         warnings = runtime.drain_warnings()

@@ -14,6 +14,7 @@ from .evaluation import (
     AgentSource,
     FederationContext,
     FederationEngine,
+    FederationView,
     evaluate_value_set,
     appendix_b_program,
     inheritance_rules,
@@ -43,6 +44,7 @@ __all__ = [
     "FederatedQuery",
     "FederationContext",
     "FederationEngine",
+    "FederationView",
     "evaluate_value_set",
     "LocalSubQuery",
     "QueryPlan",

@@ -13,7 +13,10 @@ conflicting local databases and defining global schemas" with
 * cross-round assertions are *lifted*: an assertion ``S1.A θ S3.C``
   becomes ``IS1.IS(A) θ S3.C`` against the intermediate schema, with
   attribute paths renamed through the recorded provenance;
-* :meth:`engine` / :meth:`query` evaluate global queries bottom-up;
+* :meth:`engine` / :meth:`query` evaluate global queries bottom-up on
+  one long-lived :class:`~repro.federation.evaluation.FederationView`
+  (the lifted, materialized base), which each query refreshes only
+  where component extents changed;
   :meth:`appendix_b` builds the faithful top-down evaluator;
 * :meth:`use_runtime` attaches a :class:`~repro.runtime.FederationRuntime`
   so both evaluation paths fan agent scans out concurrently, retry and
@@ -24,6 +27,7 @@ conflicting local databases and defining global schemas" with
 
 from __future__ import annotations
 
+import threading
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -60,7 +64,7 @@ from ..logic.labelled import LabelledProgram
 from ..model.schema import Schema
 from ..model.store import ComponentStore
 from .agent import FSMAgent
-from .evaluation import FederationEngine, appendix_b_program
+from .evaluation import FederationEngine, FederationView, appendix_b_program
 from .mappings import MappingRegistry, SameObjectSpec
 from .query import FederatedQuery
 
@@ -85,6 +89,9 @@ class FSM:
         self.last_stats: Optional[IntegrationStats] = None
         self.runtime: Optional["FederationRuntime"] = None
         self.last_query_stats: Optional["RuntimeStats"] = None
+        self._view: Optional[FederationView] = None
+        self._view_runtime: Optional["FederationRuntime"] = None
+        self._view_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # registration
@@ -349,18 +356,40 @@ class FSM:
         """A bottom-up federated engine over the last integration.
 
         *plan* — a :class:`~repro.runtime.planner.QueryPlan` — restricts
-        fact lifting to the classes that can contribute to one query.
+        the fan-out and the view refresh to the classes that can
+        contribute to one query.
         """
         if self.integrated is None:
             raise QueryError("integrate schemas before querying")
         return FederationEngine(
             self.integrated,
             self.databases(),
-            self.mappings,
-            self.same_specs,
             runtime=self.runtime,
             plan=plan,
+            view=self.federation_view(),
         )
+
+    def federation_view(self) -> FederationView:
+        """The FSM's maintained federation view, rebuilt from scratch
+        when the integration, the mapping registry (or its version), the
+        same-object specs or the attached runtime changed since it was
+        built."""
+        if self.integrated is None:
+            raise QueryError("integrate schemas before querying")
+        with self._view_lock:
+            view = self._view
+            if (
+                view is None
+                or view.integrated is not self.integrated
+                or view.mappings is not self.mappings
+                or view.mappings_version != self.mappings.version
+                or view.same_specs != tuple(self.same_specs)
+                or self._view_runtime is not self.runtime
+            ):
+                view = FederationView(self.integrated, self.mappings, self.same_specs)
+                self._view = view
+                self._view_runtime = self.runtime
+            return view
 
     def plan_query(self, query: Union[str, FederatedQuery]) -> Optional[Any]:
         """Plan *query* through the runtime's planner, or None when the

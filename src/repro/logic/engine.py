@@ -51,39 +51,89 @@ FactTuple = Tuple[Any, ...]
 class FactStore:
     """Ground facts grouped by predicate name.
 
-    A per-predicate index on the first argument accelerates the joins
-    the compiled O-term predicates produce (``att$C$a(oid, v)`` is
-    always probed by ``oid`` once the object variable is bound).
+    Per-predicate argument indexes accelerate the joins the compiled
+    O-term predicates produce (``att$C$a(oid, v)`` is always probed by
+    ``oid`` once the object variable is bound).  An index covers one
+    ``(predicate, position)`` and is built on its first probe, then kept
+    current by :meth:`add` and :meth:`discard`; a bucket holding a
+    single fact stores the bare tuple (most ``oid`` buckets hold one
+    fact), and :meth:`facts_at` / :meth:`candidates` hand it back
+    wrapped in a set.  A store that lives across queries therefore pays
+    index memory only for the positions its queries probe.
     """
 
-    #: Index every argument position up to this arity (compiled O-term
-    #: predicates have arity ≤ 2, is_a and same_object too).
-    INDEXED_ARITY = 3
-
     def __init__(self) -> None:
-        self._facts: Dict[str, Set[FactTuple]] = defaultdict(set)
-        self._by_arg: Dict[str, Dict[Tuple[int, Any], Set[FactTuple]]] = defaultdict(
-            lambda: defaultdict(set)
-        )
+        self._facts: Dict[str, Set[FactTuple]] = {}
+        #: predicate -> position -> value -> bucket (a fact or a set of facts)
+        self._indexes: Dict[str, Dict[int, Dict[Any, Any]]] = {}
 
     def add(self, predicate: str, values: FactTuple) -> bool:
         """Add a fact; True when it was new."""
-        bucket = self._facts[predicate]
-        if values in bucket:
+        bucket = self._facts.get(predicate)
+        if bucket is None:
+            bucket = self._facts[predicate] = set()
+        elif values in bucket:
             return False
         bucket.add(values)
-        if len(values) <= self.INDEXED_ARITY:
-            index = self._by_arg[predicate]
-            for position, value in enumerate(values):
-                index[(position, value)].add(values)
+        indexes = self._indexes.get(predicate)
+        if indexes:
+            for position, index in indexes.items():
+                if position < len(values):
+                    _bucket_add(index, values[position], values)
         return True
+
+    def discard(self, predicate: str, values: FactTuple) -> bool:
+        """Remove a fact; True when it was present."""
+        bucket = self._facts.get(predicate)
+        if bucket is None or values not in bucket:
+            return False
+        bucket.remove(values)
+        if not bucket:
+            del self._facts[predicate]
+            self._indexes.pop(predicate, None)
+            return True
+        indexes = self._indexes.get(predicate)
+        if indexes:
+            for position, index in indexes.items():
+                if position < len(values):
+                    _bucket_discard(index, values[position], values)
+        return True
+
+    def replace(self, predicate: str, facts: Set[FactTuple]) -> None:
+        """Make *facts* the whole extension of *predicate*.
+
+        The set is taken over, not copied: the caller must not mutate it
+        afterwards.  The predicate's indexes are dropped and rebuilt on
+        the next probe.
+        """
+        self._indexes.pop(predicate, None)
+        if facts:
+            self._facts[predicate] = facts
+        else:
+            self._facts.pop(predicate, None)
+
+    def _index(self, predicate: str, position: int) -> Optional[Dict[Any, Any]]:
+        """The ``(predicate, position)`` index, built on first use."""
+        indexes = self._indexes.get(predicate)
+        if indexes is None:
+            facts = self._facts.get(predicate)
+            if facts is None:
+                return None
+            indexes = self._indexes[predicate] = {}
+        index = indexes.get(position)
+        if index is None:
+            index = indexes[position] = {}
+            for values in self._facts[predicate]:
+                if position < len(values):
+                    _bucket_add(index, values[position], values)
+        return index
 
     def facts_at(self, predicate: str, position: int, value: Any) -> Set[FactTuple]:
         """Facts of *predicate* whose argument *position* equals *value*."""
-        index = self._by_arg.get(predicate)
+        index = self._index(predicate, position)
         if index is None:
             return set()
-        return index.get((position, value), set())
+        return _bucket_set(index.get(value))
 
     def candidates(self, predicate: str, bound: "List[Tuple[int, Any]]") -> Set[FactTuple]:
         """The smallest indexed candidate set consistent with *bound*.
@@ -92,18 +142,21 @@ class FactStore:
         single-position bucket is returned (remaining positions are
         checked by the caller's match).  Falls back to the full set.
         """
-        best: Optional[Set[FactTuple]] = None
-        index = self._by_arg.get(predicate)
-        if index is not None:
-            for position, value in bound:
-                bucket = index.get((position, value))
-                if bucket is None:
-                    return set()
-                if best is None or len(bucket) < len(best):
-                    best = bucket
+        facts = self._facts.get(predicate)
+        if facts is None:
+            return set()
+        best: Any = None
+        best_size = 0
+        for position, value in bound:
+            bucket = self._index(predicate, position).get(value)  # type: ignore[union-attr]
+            if bucket is None:
+                return set()
+            size = len(bucket) if isinstance(bucket, set) else 1
+            if best is None or size < best_size:
+                best, best_size = bucket, size
         if best is not None:
-            return best
-        return self._facts.get(predicate, set())
+            return _bucket_set(best)
+        return facts
 
     def add_atom(self, atom: Atom) -> bool:
         if not atom.is_ground():
@@ -121,15 +174,22 @@ class FactStore:
 
     def merge(self, other: "FactStore") -> None:
         for predicate, tuples in other._facts.items():
-            for values in tuples:
-                self.add(predicate, values)
+            if predicate in self._indexes:
+                for values in tuples:
+                    self.add(predicate, values)
+            else:
+                self._facts.setdefault(predicate, set()).update(tuples)
 
     def copy(self) -> "FactStore":
+        """An independent store with the same facts (indexes rebuild lazily)."""
         clone = FactStore()
-        for predicate, tuples in self._facts.items():
-            for values in tuples:
-                clone.add(predicate, values)
+        clone._facts = {predicate: set(tuples) for predicate, tuples in self._facts.items()}
         return clone
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FactStore):
+            return NotImplemented
+        return self._facts == other._facts
 
     def __len__(self) -> int:
         return sum(len(tuples) for tuples in self._facts.values())
@@ -138,6 +198,35 @@ class FactStore:
         for predicate, tuples in self._facts.items():
             for values in tuples:
                 yield predicate, values
+
+
+def _bucket_add(index: Dict[Any, Any], key: Any, values: FactTuple) -> None:
+    bucket = index.get(key)
+    if bucket is None:
+        index[key] = values
+    elif isinstance(bucket, set):
+        bucket.add(values)
+    elif bucket != values:
+        index[key] = {bucket, values}
+
+
+def _bucket_discard(index: Dict[Any, Any], key: Any, values: FactTuple) -> None:
+    bucket = index.get(key)
+    if isinstance(bucket, set):
+        bucket.discard(values)
+        if len(bucket) == 1:
+            index[key] = next(iter(bucket))
+    elif bucket == values:
+        del index[key]
+
+
+def _bucket_set(bucket: Any) -> Set[FactTuple]:
+    """An index bucket as a set: a bare fact is a one-fact bucket."""
+    if bucket is None:
+        return set()
+    if isinstance(bucket, set):
+        return bucket
+    return {bucket}
 
 
 def iter_value_elements(descriptor: str, value: Any) -> Iterator[Tuple[str, Any]]:
@@ -404,15 +493,21 @@ def _derive(
 
 
 def evaluate(
-    rules: Iterable[DatalogRule], base: FactStore, max_iterations: int = 100_000
+    rules: Iterable[DatalogRule],
+    base: FactStore,
+    max_iterations: int = 100_000,
+    in_place: bool = False,
 ) -> FactStore:
     """Materialize all consequences of *rules* over *base* facts.
 
     Semi-naive iteration within each stratum: after the first round only
     rule instantiations touching the previous round's new facts fire.
-    Returns a new store containing base plus derived facts.
+    Returns a new store containing base plus derived facts; with
+    *in_place*, derives into *base* itself and returns it (a store kept
+    alive across base changes, whose earlier derivations the caller has
+    retracted).
     """
-    store = base.copy()
+    store = base if in_place else base.copy()
     for layer in stratify(list(rules)):
         # Round 0: full evaluation of the layer.
         delta = FactStore()
@@ -458,6 +553,11 @@ class QueryEngine:
         self._materialized: Optional[FactStore] = None
 
     @property
+    def rules(self) -> Tuple[DatalogRule, ...]:
+        """The compiled program."""
+        return tuple(self._rules)
+
+    @property
     def materialized(self) -> FactStore:
         if self._materialized is None:
             self._materialized = evaluate(self._rules, self._base)
@@ -466,6 +566,15 @@ class QueryEngine:
     def invalidate(self) -> None:
         """Drop the materialization (call after base facts change)."""
         self._materialized = None
+
+    def rederive(self) -> None:
+        """Materialize into the base store itself, semi-naive from scratch.
+
+        For a base maintained in place: the caller has already retracted
+        every fact an earlier derivation added, so the base store becomes
+        the materialization without a copy.
+        """
+        self._materialized = evaluate(self._rules, self._base, in_place=True)
 
     def ask(self, *goals: Atom) -> List[Dict[str, Any]]:
         """Answers to the conjunction of *goals* as variable bindings."""

@@ -25,10 +25,21 @@ evictions, generation bumps) writes through, so the disk tier can never
 resurrect an entry the in-memory tier already condemned.  Entries whose
 component version was unobservable at fill time stay memory-only: after
 a restart their freshness could not be checked.
+
+Every entry carries a **serial**, renewed on each :meth:`put` and each
+in-place delta patch, and handed out next to the value by
+:meth:`lookup`: the stamp a caller that derives state from an extent
+(the FSM's maintained federation view) compares to know whether the
+extent changed since it last looked.  Serials come from one process-wide
+counter, so no two fills — in any cache — ever share one.  The
+component ``source_generation`` cannot serve as that stamp: it is
+``None`` for unobservable stores, and a patch changes the value without
+a new entry.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, ContextManager, Dict, Mapping, Optional, Tuple
@@ -49,9 +60,12 @@ if TYPE_CHECKING:
 
 _MISS = object()
 
+#: entry serials; shared by every cache so a stamp is never reused
+_SERIALS = itertools.count(1)
+
 
 class _Entry:
-    __slots__ = ("value", "cache_generation", "source_generation")
+    __slots__ = ("value", "cache_generation", "source_generation", "serial")
 
     def __init__(
         self, value: Any, cache_generation: int, source_generation: Optional[int]
@@ -59,6 +73,7 @@ class _Entry:
         self.value = value
         self.cache_generation = cache_generation
         self.source_generation = source_generation
+        self.serial = next(_SERIALS)
 
 
 def _copy(value: Any) -> Any:
@@ -137,6 +152,14 @@ class ExtentCache:
         and, when *source_generation* is observable, to match the
         component database's version it was filled at.
         """
+        found = self.lookup(request, source_generation)
+        return found if found is _MISS else found[0]
+
+    def lookup(
+        self, request: ScanRequest, source_generation: Optional[int] = None
+    ) -> Any:
+        """``(value, serial)`` for a hit, as :meth:`get` decides it, or
+        :data:`MISS`; the serial names the entry's current contents."""
         key = request.cache_key
         variant = (request.op, request.attribute)
         with self._lock:
@@ -161,21 +184,24 @@ class ExtentCache:
                 self.misses += 1
                 return _MISS
             self.hits += 1
-            return _copy(entry.value)
+            return _copy(entry.value), entry.serial
 
     def put(
         self, request: ScanRequest, value: Any, source_generation: Optional[int] = None
-    ) -> None:
+    ) -> int:
+        """Cache *value* for *request*; returns the new entry's serial."""
         key = request.cache_key
         variant = (request.op, request.attribute)
         with self._lock:
             granule = self._granules.setdefault(key, {})
-            granule[variant] = _Entry(_copy(value), self._generation, source_generation)
+            entry = _Entry(_copy(value), self._generation, source_generation)
+            granule[variant] = entry
             if self._store is not None and source_generation is not None:
                 with self._persistence_timer():
                     self._store.put(
                         key, variant, value, self._generation, source_generation
                     )
+            return entry.serial
 
     # ------------------------------------------------------------------
     # delta feeds (incremental invalidation)
@@ -256,6 +282,7 @@ class ExtentCache:
                         outcome.fallbacks.append((description, str(reason)))
                         continue
                     entry.source_generation = target_version
+                    entry.serial = next(_SERIALS)
                     outcome.granules_patched += 1
                     if since not in used:
                         used.add(since)

@@ -33,6 +33,13 @@ Counter vocabulary (all monotonic):
 ``fallback_invalidations``  variants evicted because a delta chain could
                         not patch them (gap / rescan marker / value-set
                         delete) — targeted eviction, never a full bump
+``view_hits``           lifting units a query answered from the FSM's
+                        maintained federation view, their granule stamp
+                        unchanged
+``granules_relifted``   lifting units a query re-lifted into the view
+                        (changed, unstamped or new granules); a warm
+                        read re-lifts 0.  Both are always reported, 0
+                        included (:meth:`RuntimeStats.reported_counters`)
 
 Timer vocabulary includes the ``persistence`` phase: every persistent
 extent-store interaction (the warm-restart reload, spills on fill,
@@ -95,8 +102,27 @@ class RuntimeStats:
             fallback_invalidations or {}
         )
 
+    #: counters reported even at 0: a warm read shows its 0 re-lifts
+    ALWAYS_REPORTED = ("granules_relifted", "view_hits")
+
     def counter(self, name: str) -> int:
         return self.counters.get(name, 0)
+
+    @property
+    def view_hits(self) -> int:
+        """Lifting units answered from the maintained view."""
+        return self.counter("view_hits")
+
+    @property
+    def granules_relifted(self) -> int:
+        """Lifting units re-lifted into the maintained view."""
+        return self.counter("granules_relifted")
+
+    def reported_counters(self) -> Dict[str, int]:
+        """:attr:`counters` plus every :attr:`ALWAYS_REPORTED` one, sorted."""
+        counters = dict.fromkeys(self.ALWAYS_REPORTED, 0)
+        counters.update(self.counters)
+        return {name: counters[name] for name in sorted(counters)}
 
     def __sub__(self, earlier: "RuntimeStats") -> "RuntimeStats":
         counters = {
@@ -145,8 +171,8 @@ class RuntimeStats:
     def describe(self) -> str:
         """A readable report (the CLI's ``--stats`` output)."""
         lines = ["runtime stats:"]
-        for name in sorted(self.counters):
-            lines.append(f"  {name:<22} {self.counters[name]}")
+        for name, value in self.reported_counters().items():
+            lines.append(f"  {name:<22} {value}")
         if self.agent_scans:
             lines.append("  agent scans:")
             for agent in sorted(self.agent_scans):

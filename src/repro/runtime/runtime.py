@@ -86,6 +86,22 @@ from .transport import AgentTransport, InProcessTransport, ScanRequest
 MODES = ("threaded", "async", "multiprocess")
 
 
+class ExtentScan(Dict[Tuple[str, str], List[ObjectInstance]]):
+    """What :meth:`FederationRuntime.scan_extents` answers: extents by
+    ``(schema, class)``, plus :attr:`stamps`.
+
+    ``stamps`` maps a pair to its granule's cache serial (a tuple of
+    shard serials for a sharded scan) — the same stamp means the same
+    extent.  A pair has no stamp when its scan failed, any of its shards
+    is missing, or the cache is off: such an extent must be treated as
+    new every time.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.stamps: Dict[Tuple[str, str], Any] = {}
+
+
 class FederationRuntime:
     """Concurrent, cached, observable access to a federation's agents."""
 
@@ -214,7 +230,7 @@ class FederationRuntime:
             return self._fetch_sharded(request, empty)
         cached = self._cache_get(request)
         if cached is not MISS:
-            return cached
+            return cached[0]
         try:
             value = self.executor.run_one(request)
         except PartialResultError:
@@ -238,7 +254,7 @@ class FederationRuntime:
         for shard_request in shard_requests:
             cached = self._cache_get(shard_request)
             if cached is not MISS:
-                preloaded[shard_request] = cached
+                preloaded[shard_request] = cached[0]
         if len(preloaded) == len(shard_requests):
             return merge_shard_values(
                 request.op, [preloaded[r] for r in shard_requests]
@@ -256,7 +272,7 @@ class FederationRuntime:
         self,
         pairs: Iterable[Tuple[str, str]],
         op: str = "direct_extent",
-    ) -> Dict[Tuple[str, str], List[ObjectInstance]]:
+    ) -> ExtentScan:
         """Concurrently fetch the extents of many ``(schema, class)`` pairs.
 
         Cached granules are served without touching their agents; only
@@ -264,7 +280,8 @@ class FederationRuntime:
         batched round-trip per endpoint (results are still cached per
         granule under their usual keys, so warm behaviour is unchanged).
         Failed scans are absent from the mapping under the
-        ``PARTIAL`` policy (callers treat them as empty).
+        ``PARTIAL`` policy (callers treat them as empty).  The answer's
+        :attr:`~ExtentScan.stamps` name each granule's cache entry.
         """
         requests = [
             self.request(schema_name, class_name, op)
@@ -273,14 +290,15 @@ class FederationRuntime:
         self.metrics.incr("requests", len(requests))
         if self.shard_plan is not None:
             return self._scan_extents_sharded(requests)
-        extents: Dict[Tuple[str, str], List[ObjectInstance]] = {}
+        extents = ExtentScan()
         to_fetch: List[ScanRequest] = []
         for request in requests:
             cached = self._cache_get(request)
             if cached is MISS:
                 to_fetch.append(request)
             else:
-                extents[(request.schema, request.class_name)] = cached
+                pair = (request.schema, request.class_name)
+                extents[pair], extents.stamps[pair] = cached
         if to_fetch:
             with self.metrics.timer("fan_out"):
                 if self.plan_enabled:
@@ -289,25 +307,28 @@ class FederationRuntime:
                     outcome = self.executor.run(to_fetch)
             self._apply_failure_policy(outcome, len(outcome.failures))
             for request, value in outcome.results.items():
-                self._cache_put(request, value)
-                extents[(request.schema, request.class_name)] = value
+                pair = (request.schema, request.class_name)
+                extents[pair] = value
+                serial = self._cache_put(request, value)
+                if serial is not None:
+                    extents.stamps[pair] = serial
         return extents
 
-    def _scan_extents_sharded(
-        self, requests: Sequence[ScanRequest]
-    ) -> Dict[Tuple[str, str], List[ObjectInstance]]:
+    def _scan_extents_sharded(self, requests: Sequence[ScanRequest]) -> ExtentScan:
         """The sharded fan-out: scatter every logical miss, merge slices.
 
         Warm shard granules are merged locally; a logical request with
         any cold shard goes through the executor's scatter (cold shards
         only — the warm slices ride along as *preloaded*).  Under the
         ``PARTIAL`` policy a logical request missing some shards still
-        appears in the mapping, carrying the slices that survived.
+        appears in the mapping, carrying the slices that survived (and
+        no stamp).
         """
         plan = self.shard_plan
         assert plan is not None
-        extents: Dict[Tuple[str, str], List[ObjectInstance]] = {}
+        extents = ExtentScan()
         preloaded: Dict[ScanRequest, Any] = {}
+        serials: Dict[ScanRequest, int] = {}
         to_fetch: List[ScanRequest] = []
         for request in requests:
             shard_requests = plan.split(request)
@@ -315,8 +336,8 @@ class FederationRuntime:
             for shard_request in shard_requests:
                 cached = self._cache_get(shard_request)
                 if cached is not MISS:
-                    preloaded[shard_request] = cached
-                    warm.append(cached)
+                    preloaded[shard_request], serials[shard_request] = cached
+                    warm.append(cached[0])
             if len(warm) == len(shard_requests):
                 extents[(request.schema, request.class_name)] = merge_shard_values(
                     request.op, warm
@@ -329,18 +350,27 @@ class FederationRuntime:
                 outcome = self.executor.run_sharded(
                     to_fetch, plan, preloaded, coalesce=self.plan_enabled
                 )
-            self._cache_shard_results(outcome, preloaded)
+            serials.update(self._cache_shard_results(outcome, preloaded))
             self._apply_failure_policy(outcome, len(outcome.missing))
             for request, value in outcome.results.items():
                 extents[(request.schema, request.class_name)] = value
+        for request in requests:
+            stamp = tuple(serials.get(shard) for shard in plan.split(request))
+            if None not in stamp:
+                extents.stamps[(request.schema, request.class_name)] = stamp
         return extents
 
     def _cache_shard_results(
         self, outcome: ShardedOutcome, preloaded: Mapping[ScanRequest, Any]
-    ) -> None:
+    ) -> Dict[ScanRequest, int]:
+        """Cache the freshly scanned shard slices; their serials."""
+        serials: Dict[ScanRequest, int] = {}
         for shard_request, value in outcome.shard_results.items():
             if shard_request not in preloaded:
-                self._cache_put(shard_request, value)
+                serial = self._cache_put(shard_request, value)
+                if serial is not None:
+                    serials[shard_request] = serial
+        return serials
 
     def _apply_failure_policy(
         self, outcome: "ScanOutcome | ShardedOutcome", partial_results: int
@@ -360,14 +390,15 @@ class FederationRuntime:
     # cache plumbing
     # ------------------------------------------------------------------
     def _cache_get(self, request: ScanRequest) -> Any:
+        """``(value, serial)`` from the cache, or :data:`MISS`."""
         if not self.policy.cache_enabled:
             return MISS
         current = self.transport.generation(request)
         if self.deltas_enabled and current is not None:
             self._sync_deltas(request, current)
-        value = self.cache.get(request, current)
-        self.metrics.incr("cache_hits" if value is not MISS else "cache_misses")
-        return value
+        found = self.cache.lookup(request, current)
+        self.metrics.incr("cache_hits" if found is not MISS else "cache_misses")
+        return found
 
     def _sync_deltas(self, request: ScanRequest, current: int) -> None:
         """Replay the component's delta feed onto stale cached granules
@@ -388,9 +419,11 @@ class FederationRuntime:
         for description, _reason in outcome.fallbacks:
             self.metrics.record_fallback_invalidation(description)
 
-    def _cache_put(self, request: ScanRequest, value: Any) -> None:
-        if self.policy.cache_enabled:
-            self.cache.put(request, value, self.transport.generation(request))
+    def _cache_put(self, request: ScanRequest, value: Any) -> Optional[int]:
+        """Cache *value*; its serial, or None with the cache off."""
+        if not self.policy.cache_enabled:
+            return None
+        return self.cache.put(request, value, self.transport.generation(request))
 
     def invalidate(
         self,

@@ -54,7 +54,7 @@ def stats_to_dict(stats: RuntimeStats) -> Dict[str, Any]:
     — with keys sorted for stable output.
     """
     return {
-        "counters": {name: stats.counters[name] for name in sorted(stats.counters)},
+        "counters": stats.reported_counters(),
         "agent_scans": {
             agent: stats.agent_scans[agent] for agent in sorted(stats.agent_scans)
         },

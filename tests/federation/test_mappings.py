@@ -12,6 +12,7 @@ from repro.federation import (
     same_object_facts,
 )
 from repro.integration import SAME_OBJECT
+from repro.logic import FactStore
 from repro.model import ClassDef, ObjectDatabase, Schema
 
 
@@ -62,6 +63,13 @@ class TestRegistry:
         assert registry.resolve("height", "S1", "height_in").translate(1) == 2.54
         assert len(registry) == 1
 
+    def test_register_bumps_the_version(self):
+        registry = MappingRegistry()
+        assert registry.version == 0
+        registry.register("a", "S1", "b", DefaultMapping())
+        registry.register("a", "S1", "b", DefaultMapping())
+        assert registry.version == 2
+
 
 class TestSameObject:
     @pytest.fixture
@@ -84,6 +92,14 @@ class TestSameObject:
         assert (f_oid, s_oid) in store.facts(SAME_OBJECT)
         assert (s_oid, f_oid) in store.facts(SAME_OBJECT)
         assert len(store.facts(SAME_OBJECT)) == 2
+
+    def test_facts_land_in_a_caller_supplied_empty_store(self, databases):
+        # an empty FactStore is falsy (len 0): it must still be the target
+        dbs, f_oid, s_oid = databases
+        spec = SameObjectSpec("S1", "faculty", "fssn#", "S2", "student", "ssn#")
+        store = FactStore()
+        assert same_object_facts([spec], dbs, store) is store
+        assert store.facts(SAME_OBJECT) == {(f_oid, s_oid), (s_oid, f_oid)}
 
     def test_translation_applied_to_right_key(self, databases):
         dbs, f_oid, s_oid = databases
